@@ -63,6 +63,11 @@ impl PoissonEncoder {
     /// ascending order). Consumes the RNG exactly as `sample_tick` does —
     /// one draw per active input — so the two paths produce bit-identical
     /// spike trains from the same generator state.
+    ///
+    /// The loop is branchless: each candidate index is written
+    /// unconditionally at the current length, which then advances by the
+    /// hit (a miss leaves it to be overwritten), so a spike-or-not draw
+    /// never costs a mispredicted branch.
     pub fn sample_tick_active(
         &self,
         rates: &[f32],
@@ -71,12 +76,14 @@ impl PoissonEncoder {
         spikes_out: &mut Vec<usize>,
     ) {
         spikes_out.clear();
+        spikes_out.resize(active.len(), 0);
+        let mut n = 0;
         for &i in active {
             let p = (rates[i] * self.max_rate).min(1.0);
-            if rng.gen_range(0.0f32..1.0) < p {
-                spikes_out.push(i);
-            }
+            spikes_out[n] = i;
+            n += usize::from(rng.gen_range(0.0f32..1.0) < p);
         }
+        spikes_out.truncate(n);
     }
 
     /// Expected number of spikes for `rates` over `ticks` ticks.

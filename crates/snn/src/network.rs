@@ -7,9 +7,11 @@
 //! synaptic drive is accumulated into a reusable per-neuron buffer and
 //! landed on the membrane in one [`LifLayer::inject_all`] pass, lateral
 //! inhibition is batched as `total spike drive − own contribution`, and all
-//! per-presentation buffers live in scratch owned by the network. The
-//! pre-rewrite per-synapse kernel is retained in [`crate::reference`] as
-//! the equivalence/benchmark baseline.
+//! per-presentation buffers live in scratch owned by the network. Its STDP
+//! is sparse too: it visits only the active inputs and the columns with a
+//! live post trace. The pre-rewrite per-synapse kernel, full-scan STDP
+//! included, is retained in [`crate::reference`] as the
+//! equivalence/benchmark baseline.
 
 use pathfinder_telemetry as telemetry;
 use rand::rngs::StdRng;
@@ -211,10 +213,11 @@ pub struct DiehlCookNetwork {
     pub(crate) scratch: PresentScratch,
     /// Reusable batched-inference buffers (see [`BatchScratch`]).
     pub(crate) batch_scratch: BatchScratch,
-    /// Reusable list of neurons with a live post trace, rebuilt each STDP
-    /// tick (kept outside [`PresentScratch`] because both kernels' STDP
-    /// shares it).
-    pub(crate) hot_posts: Vec<usize>,
+    /// Reusable list of neurons with a live post trace and their
+    /// depression step `nu_pre * x_post[j]`, rebuilt each STDP tick (kept
+    /// outside [`PresentScratch`] because the STDP tick runs while the
+    /// scratch is taken out of `self`).
+    pub(crate) hot_posts: Vec<(usize, f32)>,
     /// The kernel tier the network's dense loops dispatch to (captured at
     /// construction; see [`crate::accel`]).
     pub(crate) tier: KernelTier,
@@ -500,8 +503,12 @@ impl DiehlCookNetwork {
 
             // 7. STDP (PostPre): traces decay, then spikes update weights.
             if learn {
-                stdp_updates +=
-                    self.stdp_tick_active(&s.active_inputs, &s.input_spikes, &s.exc_spikes);
+                stdp_updates += self.stdp_tick_active(
+                    &s.active_inputs,
+                    &s.fired_order,
+                    &s.input_spikes,
+                    &s.exc_spikes,
+                );
             }
             if telemetry::enabled() {
                 input_spike_total += s.input_spikes.len() as u64;
@@ -613,82 +620,75 @@ impl DiehlCookNetwork {
             .map(|(j, _)| j)
     }
 
-    /// Applies one tick of PostPre STDP; returns the number of synapses
-    /// touched (0 when telemetry is compiled out — the count is only
-    /// maintained for observability).
-    pub(crate) fn stdp_tick(&mut self, input_spikes: &[usize], exc_spikes: &[usize]) -> u64 {
-        // Trace decay over every input (the pre-rewrite behaviour; the
-        // event kernel uses the sparse variant below).
-        for x in &mut self.x_pre {
-            *x *= self.trace_decay;
-        }
-        self.stdp_spikes(input_spikes, exc_spikes)
-    }
-
-    /// [`DiehlCookNetwork::stdp_tick`] with the pre-trace decay restricted
-    /// to `active` inputs. Bit-identical to the full decay: an input whose
-    /// rate is zero never spikes, so its pre trace is exactly 0.0 forever
-    /// and decaying it is a no-op. The event-driven kernel already holds
-    /// the active-input list, turning the O(n_input) decay into O(active).
+    /// Applies one tick of PostPre STDP, visiting only the synapses that
+    /// can change; returns the number of synapses updated (0 when telemetry
+    /// is compiled out — the count is only maintained for observability).
+    ///
+    /// Bit-identical to the full-scan oracle in [`crate::reference`]:
+    /// every weight sees the same ops with the same operands, and the
+    /// synapses skipped here are exactly those the oracle's `> 1e-3` trace
+    /// tests reject. Traces start each presentation at exactly 0.0 and
+    /// only a spike raises one, so:
+    ///
+    /// * An input whose rate is zero never spikes and keeps a 0.0 pre
+    ///   trace. Pre-trace decay and potentiation therefore only visit the
+    ///   `active` inputs (ascending).
+    /// * An excitatory neuron that has not fired yet keeps a 0.0 post
+    ///   trace. Post-trace decay and depression therefore only visit
+    ///   `fired` (the neurons that fired so far in this presentation). The
+    ///   columns among them with a live post trace are gathered once per
+    ///   tick with their depression step `nu_pre * x_post[j]` and marked
+    ///   dirty once, and each spiking input's row is then touched at
+    ///   exactly those columns.
     pub(crate) fn stdp_tick_active(
         &mut self,
         active: &[usize],
+        fired: &[usize],
         input_spikes: &[usize],
         exc_spikes: &[usize],
     ) -> u64 {
-        for &i in active {
-            self.x_pre[i] *= self.trace_decay;
-        }
-        self.stdp_spikes(input_spikes, exc_spikes)
-    }
-
-    /// The spike-driven half of a PostPre STDP tick: post-trace decay plus
-    /// depression/potentiation updates. Shared by both decay variants.
-    fn stdp_spikes(&mut self, input_spikes: &[usize], exc_spikes: &[usize]) -> u64 {
         let mut touched = 0u64;
         let n_exc = self.cfg.n_exc;
         let stdp = self.cfg.stdp;
-        for x in &mut self.x_post {
-            *x *= self.trace_decay;
+        for &i in active {
+            self.x_pre[i] *= self.trace_decay;
+        }
+        for &j in fired {
+            self.x_post[j] *= self.trace_decay;
         }
         // Presynaptic spikes: bump pre trace, depress synapses onto
-        // recently-fired neurons (post-before-pre). Only neurons with a
-        // live post trace can be depressed — usually none or a handful —
-        // so they are gathered once per tick and each spiking input's row
-        // is touched at exactly those columns, in the same ascending-j
-        // order (and therefore bit-identically) as a full row scan.
+        // recently-fired neurons (post-before-pre).
         if !input_spikes.is_empty() {
             let mut hot = std::mem::take(&mut self.hot_posts);
             hot.clear();
-            hot.extend(
-                self.x_post
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &x)| x > 1e-3)
-                    .map(|(j, _)| j),
-            );
+            for &j in fired {
+                let x = self.x_post[j];
+                if x > 1e-3 {
+                    hot.push((j, stdp.nu_pre * x));
+                    self.dirty_cols[j] = true;
+                }
+            }
             for &i in input_spikes {
                 self.x_pre[i] = 1.0;
                 let row = &mut self.weights[i * n_exc..(i + 1) * n_exc];
-                for &j in &hot {
-                    row[j] = (row[j] - stdp.nu_pre * self.x_post[j]).max(0.0);
-                    self.dirty_cols[j] = true;
-                    if telemetry::enabled() {
-                        touched += 1;
-                    }
+                for &(j, step) in &hot {
+                    row[j] = (row[j] - step).max(0.0);
                 }
+            }
+            if telemetry::enabled() {
+                touched += (input_spikes.len() * hot.len()) as u64;
             }
             self.hot_posts = hot;
         }
         // Postsynaptic spikes: bump post trace, potentiate synapses from
-        // recently-spiked inputs (pre-before-post). The column is walked as
-        // a strided view zipped with the pre traces — same visit order as
-        // an indexed gather, without per-element bounds checks.
+        // recently-spiked inputs (pre-before-post).
         for &j in exc_spikes {
             self.x_post[j] = 1.0;
             self.dirty_cols[j] = true;
-            for (w, &xp) in self.weights[j..].iter_mut().step_by(n_exc).zip(&self.x_pre) {
+            for &i in active {
+                let xp = self.x_pre[i];
                 if xp > 1e-3 {
+                    let w = &mut self.weights[i * n_exc + j];
                     *w = (*w + stdp.nu_post * xp).min(stdp.w_max);
                     if telemetry::enabled() {
                         touched += 1;

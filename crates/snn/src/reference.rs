@@ -11,8 +11,10 @@
 //! inhibition lands as one batched term instead of per-spike scatters), so
 //! potentials may differ in the last few ULPs — which is why the
 //! equivalence suite asserts on spike structure (winner, fired order,
-//! counts, first-fire ticks) and near-equal weights rather than bitwise
-//! membrane state. See `tests/kernel_equivalence.rs`.
+//! counts, first-fire ticks) rather than bitwise membrane state. Weights
+//! depend only on the spike trains, and the event kernel's sparse STDP
+//! applies the same per-synapse ops as the full-scan STDP here, so
+//! learned weights must agree bitwise. See `tests/kernel_equivalence.rs`.
 //!
 //! This module is *not* a second implementation to maintain feature-parity
 //! with: it exists to (a) pin the semantics of the optimized kernel and
@@ -143,6 +145,56 @@ impl DiehlCookNetwork {
             first_tick_argmax,
             runner_up_potential,
         }
+    }
+
+    /// One tick of PostPre STDP in its naive full-scan form: every pre and
+    /// post trace decays, each input spike scans its whole weight row for
+    /// live post traces, and each excitatory spike scans its whole weight
+    /// column for live pre traces. Returns the number of synapses updated
+    /// (0 when telemetry is compiled out). The event kernel's
+    /// [`DiehlCookNetwork::stdp_tick_active`] must match it bit for bit.
+    fn stdp_tick(&mut self, input_spikes: &[usize], exc_spikes: &[usize]) -> u64 {
+        let mut touched = 0u64;
+        let n_exc = self.cfg.n_exc;
+        let stdp = self.cfg.stdp;
+        for x in &mut self.x_pre {
+            *x *= self.trace_decay;
+        }
+        for x in &mut self.x_post {
+            *x *= self.trace_decay;
+        }
+        // Presynaptic spikes: bump pre trace, depress synapses onto
+        // recently-fired neurons (post-before-pre).
+        for &i in input_spikes {
+            self.x_pre[i] = 1.0;
+            for j in 0..n_exc {
+                if self.x_post[j] > 1e-3 {
+                    let w = &mut self.weights[i * n_exc + j];
+                    *w = (*w - stdp.nu_pre * self.x_post[j]).max(0.0);
+                    self.dirty_cols[j] = true;
+                    if telemetry::enabled() {
+                        touched += 1;
+                    }
+                }
+            }
+        }
+        // Postsynaptic spikes: bump post trace, potentiate synapses from
+        // recently-spiked inputs (pre-before-post).
+        for &j in exc_spikes {
+            self.x_post[j] = 1.0;
+            self.dirty_cols[j] = true;
+            for i in 0..self.cfg.n_input {
+                let xp = self.x_pre[i];
+                if xp > 1e-3 {
+                    let w = &mut self.weights[i * n_exc + j];
+                    *w = (*w + stdp.nu_post * xp).min(stdp.w_max);
+                    if telemetry::enabled() {
+                        touched += 1;
+                    }
+                }
+            }
+        }
+        touched
     }
 }
 
