@@ -1,13 +1,12 @@
 //! PATHFINDER configuration and the Figure 9 variant ladder.
 
 use pathfinder_snn::SnnConfig;
-use serde::{Deserialize, Serialize};
 
 /// How prefetch predictions are read out of the SNN.
 ///
 /// `Hash` because the readout mode is part of the prediction-cache key:
 /// the two modes can disagree on the winning neuron for the same matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Readout {
     /// Full `T`-tick stochastic simulation; the most-firing neuron wins.
     FullInterval,
@@ -18,7 +17,7 @@ pub enum Readout {
 
 /// Periodic STDP duty-cycling (§5, Figure 8): learning is enabled for the
 /// first `on_accesses` of every `epoch_accesses`, then frozen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StdpDutyCycle {
     /// Accesses with STDP enabled at the start of each epoch.
     pub on_accesses: u64,
@@ -68,7 +67,7 @@ impl StdpDutyCycle {
 /// assert_eq!(cfg.labels_per_neuron, 2);
 /// assert_eq!(cfg.n_input(), 127 * 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathfinderConfig {
     /// Maximum |delta| tracked; the input row width is `2 * delta_range + 1`
     /// (the paper's default range "127" spans -63..=63).
@@ -192,7 +191,7 @@ impl PathfinderConfig {
 }
 
 /// The named variants of Figure 9, ordered as the paper presents them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Basic 1-label version: plain pixels, full interval.
     Basic1Label,

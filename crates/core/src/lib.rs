@@ -53,5 +53,6 @@ pub use extensions::CrossPagePredictor;
 pub use prefetcher::{PathfinderPrefetcher, PathfinderStats};
 pub use snn_cache::{BatchProbe, CachedQuery, SnnCacheStats, SnnQueryCache};
 pub use tables::{
-    InferenceTable, Label, TrainingEntry, TrainingTable, CONFIDENCE_INIT, CONFIDENCE_MAX,
+    InferenceTable, Label, StreamHistory, TrainingEntry, TrainingTable, CONFIDENCE_INIT,
+    CONFIDENCE_MAX,
 };

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use crate::config::{PathfinderConfig, Readout};
 use crate::encoder::PixelMatrixEncoder;
 use crate::snn_cache::{CachedQuery, SnnQueryCache};
-use crate::tables::{InferenceTable, TrainingTable};
+use crate::tables::{InferenceTable, StreamHistory, TrainingTable};
 
 /// Operational counters exposed for the paper's analyses (Table 6 issued
 /// prefetches, labeling behaviour, SNN activity).
@@ -309,22 +309,17 @@ impl PathfinderPrefetcher {
     /// Plans one duty-cycled-off segment's frozen queries and runs the
     /// cache-missing ones as one batched presentation.
     ///
-    /// The plan replays the key-affecting slice of [`Prefetcher::on_access`]
-    /// — same-block filtering, [`TrainingTable::record_offset`]'s delta
-    /// bookkeeping, and the §3.4 encoding branch — against private
-    /// snapshots of each (PC, page) stream's training entry, so nothing
-    /// observable mutates before the real replay. Returns `None` when fewer
-    /// than two lanes would compute (a singleton batch saves nothing).
+    /// The plan advances private copies of each (PC, page) stream's
+    /// [`StreamHistory`] through the same same-block filter,
+    /// [`StreamHistory::record`] and [`PathfinderPrefetcher::encode_query`]
+    /// steps [`Prefetcher::on_access`] takes, so nothing observable mutates
+    /// before the real replay. Returns `None` when fewer than two lanes
+    /// would compute (a singleton batch saves nothing).
     fn prepare_frozen_segment(
         &mut self,
         segment: &[MemoryAccess],
     ) -> Option<HashMap<u64, CachedQuery>> {
-        struct PlanEntry {
-            deltas: Vec<i16>,
-            last_offset: u8,
-            touches: u64,
-        }
-        let mut plan: HashMap<(u64, u64), PlanEntry> = HashMap::new();
+        let mut plan: HashMap<(u64, u64), StreamHistory> = HashMap::new();
         let mut keys = Vec::new();
         let mut rate_rows: Vec<Vec<f32>> = Vec::new();
         for access in segment {
@@ -333,59 +328,21 @@ impl PathfinderPrefetcher {
             let page = block.page();
             let offset = block.page_offset();
             let training = &self.training;
-            let e = plan
-                .entry((pc, page.0))
-                .or_insert_with(|| match training.peek(pc, page.0) {
-                    Some(e) => PlanEntry {
-                        deltas: e.deltas.clone(),
-                        last_offset: e.last_offset,
-                        touches: e.touches,
-                    },
-                    None => PlanEntry {
-                        deltas: Vec::new(),
-                        last_offset: 0,
-                        touches: 0,
-                    },
-                });
+            let h = plan.entry((pc, page.0)).or_insert_with(|| {
+                training
+                    .peek(pc, page.0)
+                    .map(|e| e.history.clone())
+                    .unwrap_or_default()
+            });
             // Same-block repeats neither query nor advance the stream.
-            if e.touches > 0 && e.last_offset == offset {
+            if h.is_repeat(offset) {
                 continue;
             }
-            e.touches += 1;
-            if e.touches == 1 {
-                e.last_offset = offset;
-            } else {
-                // Nonzero by the same-block filter above.
-                let delta = offset as i16 - e.last_offset as i16;
-                e.last_offset = offset;
-                e.deltas.push(delta);
-                if e.deltas.len() > self.config.history {
-                    e.deltas.remove(0);
-                }
+            h.record(offset, self.config.history);
+            if let Some((rates, key)) = self.encode_query(h, offset) {
+                keys.push(key);
+                rate_rows.push(rates);
             }
-            let (rates, key) = if e.deltas.len() >= self.config.history {
-                (
-                    self.encoder.encode(&e.deltas),
-                    self.encoder.encode_key(&e.deltas),
-                )
-            } else if self.config.initial_access_encoding {
-                if e.touches == 1 {
-                    (
-                        self.encoder.encode_initial(Some(offset), &[]),
-                        self.encoder.encode_initial_key(Some(offset), &[]),
-                    )
-                } else {
-                    (
-                        self.encoder.encode_initial(None, &e.deltas),
-                        self.encoder.encode_initial_key(None, &e.deltas),
-                    )
-                }
-            } else {
-                // Basic design: this access records history but won't query.
-                continue;
-            };
-            keys.push(key);
-            rate_rows.push(rates);
         }
 
         // Frozen queries never move the weight version, so one partition
@@ -412,6 +369,31 @@ impl PathfinderPrefetcher {
         Some(prepared)
     }
 
+    /// The §3.4 encoding of a stream's history just after an access to
+    /// `offset`: the pixel-matrix rates and their packed key, or `None`
+    /// when the basic design is still waiting for `H` deltas.
+    fn encode_query(&self, h: &StreamHistory, offset: u8) -> Option<(Vec<f32>, u64)> {
+        if h.deltas.len() >= self.config.history {
+            Some((
+                self.encoder.encode(&h.deltas),
+                self.encoder.encode_key(&h.deltas),
+            ))
+        } else if !self.config.initial_access_encoding {
+            None
+        } else if h.touches == 1 {
+            // §3.4 "Initial Accesses to a Page".
+            Some((
+                self.encoder.encode_initial(Some(offset), &[]),
+                self.encoder.encode_initial_key(Some(offset), &[]),
+            ))
+        } else {
+            Some((
+                self.encoder.encode_initial(None, &h.deltas),
+                self.encoder.encode_initial_key(None, &h.deltas),
+            ))
+        }
+    }
+
     /// The [`Prefetcher::on_access`] body, with optionally pre-staged
     /// frozen-query digests from [`PathfinderPrefetcher::on_access_run`].
     fn on_access_inner(
@@ -435,7 +417,7 @@ impl PathfinderPrefetcher {
         //    (upper levels filter them), so they neither update confidence
         //    nor re-query the SNN.
         let (prev_fired, prev_predictions) = match self.training.peek(pc, page.0) {
-            Some(e) if e.touches > 0 && e.last_offset == offset => {
+            Some(e) if e.history.is_repeat(offset) => {
                 return Vec::new();
             }
             Some(e) => (e.fired, e.predictions.clone()),
@@ -470,27 +452,7 @@ impl PathfinderPrefetcher {
 
         // (3) Encode the current history and query the SNN.
         let entry = self.training.peek(pc, page.0).expect("entry just touched");
-        let touches = entry.touches;
-        let deltas = entry.deltas.clone();
-        let (rates, key) = if deltas.len() >= self.config.history {
-            (
-                self.encoder.encode(&deltas),
-                self.encoder.encode_key(&deltas),
-            )
-        } else if self.config.initial_access_encoding {
-            // §3.4 "Initial Accesses to a Page".
-            if touches == 1 {
-                (
-                    self.encoder.encode_initial(Some(offset), &[]),
-                    self.encoder.encode_initial_key(Some(offset), &[]),
-                )
-            } else {
-                (
-                    self.encoder.encode_initial(None, &deltas),
-                    self.encoder.encode_initial_key(None, &deltas),
-                )
-            }
-        } else {
+        let Some((rates, key)) = self.encode_query(&entry.history, offset) else {
             // Basic design: wait for H deltas before querying.
             let e = self.training.touch(pc, page.0);
             e.fired = None;
@@ -817,6 +779,114 @@ mod tests {
             ..duty_cfg(1024)
         };
         assert_run_matches_sequential(cfg, 64);
+    }
+
+    /// A 2-row Training Table thrashing across `varied_trace`'s 28 (PC,
+    /// page) streams: rows are evicted between a frozen segment's plan and
+    /// its replay, so realized keys miss the prepared map.
+    fn evicting_cfg() -> PathfinderConfig {
+        PathfinderConfig {
+            training_table_entries: 2,
+            ..duty_cfg(1024)
+        }
+    }
+
+    #[test]
+    fn on_access_run_matches_sequential_under_training_table_eviction() {
+        assert_run_matches_sequential(evicting_cfg(), 37);
+    }
+
+    #[test]
+    #[cfg_attr(
+        not(feature = "telemetry"),
+        ignore = "pf.train.evictions needs the telemetry feature (on in workspace builds)"
+    )]
+    fn training_table_evicts_inside_batched_frozen_segments() {
+        // Proves the eviction case above is not vacuous: within runs that
+        // lie wholly in the off phase and did plan a batch, the table
+        // evicts rows and some queries fall back to the inline kernel (the
+        // 1024-entry prediction cache never evicts here, so an inline
+        // frozen presentation beside a batch is a prepared-map miss).
+        let cfg = evicting_cfg();
+        let mut pf = PathfinderPrefetcher::new(cfg).unwrap();
+        let (mut evictions, mut fallbacks, mut done) = (0u64, 0u64, 0u64);
+        for chunk in varied_trace(600).accesses().chunks(37) {
+            let frozen =
+                (done..done + chunk.len() as u64).all(|k| !cfg.stdp_duty.learning_enabled(k));
+            done += chunk.len() as u64;
+            let (_, snap) = telemetry::capture(|| pf.on_access_run(chunk));
+            if frozen && snap.counter("snn.frozen.batch.calls") > 0 {
+                evictions += snap.counter("pf.train.evictions");
+                fallbacks += snap.counter("snn.frozen.presentations")
+                    - snap.counter("snn.frozen.batch.queries");
+            }
+        }
+        assert!(evictions > 0, "no eviction inside a batched frozen run");
+        assert!(fallbacks > 0, "no prepared-map miss fell back inline");
+    }
+
+    #[test]
+    fn shared_planner_step_records_and_encodes() {
+        // `StreamHistory::record` + `encode_query` is the one step both
+        // `on_access` and the frozen-segment planner take per access.
+        let cfg = PathfinderConfig {
+            history: 3,
+            ..test_cfg()
+        };
+        let pf = PathfinderPrefetcher::new(cfg).unwrap();
+        let enc = &pf.encoder;
+        let mut h = StreamHistory::default();
+
+        // First touch: no delta; initial-access encoding of the offset.
+        assert!(!h.is_repeat(10));
+        assert_eq!(h.record(10, 3), None);
+        assert_eq!(h.touches, 1);
+        let first = (
+            enc.encode_initial(Some(10), &[]),
+            enc.encode_initial_key(Some(10), &[]),
+        );
+        assert_eq!(pf.encode_query(&h, 10), Some(first));
+
+        // Same-block repeat: filtered, nothing advances.
+        assert!(h.is_repeat(10));
+        let before = h.clone();
+        assert_eq!(h.record(10, 3), None);
+        assert_eq!(h, before);
+
+        // Partial history: initial-access encoding of the deltas so far.
+        assert_eq!(h.record(12, 3), Some(2));
+        let partial = (
+            enc.encode_initial(None, &[2]),
+            enc.encode_initial_key(None, &[2]),
+        );
+        assert_eq!(pf.encode_query(&h, 12), Some(partial));
+
+        // History capped at H: the oldest delta drops; full encoding.
+        for (off, d) in [(15u8, 3i16), (19, 4), (24, 5)] {
+            assert_eq!(h.record(off, 3), Some(d));
+        }
+        assert_eq!(h.deltas, vec![3, 4, 5]);
+        assert_eq!((h.touches, h.last_offset), (5, 24));
+        let full = (enc.encode(&[3, 4, 5]), enc.encode_key(&[3, 4, 5]));
+        assert_eq!(pf.encode_query(&h, 24), Some(full.clone()));
+
+        // Basic design: no query before H deltas, the same full encoding
+        // after.
+        let basic = PathfinderPrefetcher::new(PathfinderConfig {
+            initial_access_encoding: false,
+            ..cfg
+        })
+        .unwrap();
+        let mut b = StreamHistory::default();
+        for (off, queries) in [(10u8, false), (12, false), (15, false), (19, true)] {
+            b.record(off, 3);
+            assert_eq!(
+                basic.encode_query(&b, off).is_some(),
+                queries,
+                "offset {off}"
+            );
+        }
+        assert_eq!(basic.encode_query(&h, 24), Some(full));
     }
 
     #[test]

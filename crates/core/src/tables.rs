@@ -17,9 +17,12 @@ pub const CONFIDENCE_MAX: u8 = 7;
 /// confidence value (1 in our study)").
 pub const CONFIDENCE_INIT: u8 = 1;
 
-/// One Training Table row.
-#[derive(Debug, Clone, Default)]
-pub struct TrainingEntry {
+/// The part of a Training Table row that decides its next SNN query: the
+/// stream's recent deltas, last offset and touch count. The prefetcher's
+/// per-access path and its frozen-segment planner both advance it through
+/// [`StreamHistory::record`], so the two cannot drift apart.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StreamHistory {
     /// Recent same-page deltas, oldest first, capped at `H`.
     pub deltas: Vec<i16>,
     /// Page offset of the most recent access ("last accessing page offset
@@ -27,6 +30,45 @@ pub struct TrainingEntry {
     pub last_offset: u8,
     /// Number of touches to this (PC, page) so far.
     pub touches: u64,
+}
+
+impl StreamHistory {
+    /// Whether an access to `offset` re-touches the stream's last block.
+    pub fn is_repeat(&self, offset: u8) -> bool {
+        self.touches > 0 && self.last_offset == offset
+    }
+
+    /// Records an observed page offset, keeping at most `history` deltas,
+    /// and returns the same-page delta from the previous access, if any.
+    ///
+    /// Repeat touches to the same block are ignored (delta 0): the paper's
+    /// prefetcher operates on the LLC access stream, where the upper cache
+    /// levels have already filtered same-block re-references, and a delta-0
+    /// label could never be prefetched anyway.
+    pub fn record(&mut self, offset: u8, history: usize) -> Option<i16> {
+        if self.is_repeat(offset) {
+            return None;
+        }
+        self.touches += 1;
+        if self.touches == 1 {
+            self.last_offset = offset;
+            return None;
+        }
+        let delta = offset as i16 - self.last_offset as i16;
+        self.last_offset = offset;
+        self.deltas.push(delta);
+        if self.deltas.len() > history {
+            self.deltas.remove(0);
+        }
+        Some(delta)
+    }
+}
+
+/// One Training Table row.
+#[derive(Debug, Clone, Default)]
+pub struct TrainingEntry {
+    /// The stream's delta history (see [`StreamHistory`]).
+    pub history: StreamHistory,
     /// Neuron that fired for the most recent SNN query, awaiting a label.
     pub fired: Option<usize>,
     /// Predictions issued on the last access: `(neuron, slot, predicted
@@ -98,32 +140,12 @@ impl TrainingTable {
         entry
     }
 
-    /// Records an observed page offset, returning the same-page delta from
-    /// the previous access to this row, if any.
-    ///
-    /// Repeat touches to the same block are ignored (delta 0): the paper's
-    /// prefetcher operates on the LLC access stream, where the upper cache
-    /// levels have already filtered same-block re-references, and a delta-0
-    /// label could never be prefetched anyway.
+    /// Records an observed page offset in the row for `(pc, page)` via
+    /// [`StreamHistory::record`], returning the same-page delta from the
+    /// previous access to this row, if any.
     pub fn record_offset(&mut self, pc: u64, page: u64, offset: u8) -> Option<i16> {
         let history = self.history;
-        let entry = self.touch(pc, page);
-        entry.touches += 1;
-        if entry.touches == 1 {
-            entry.last_offset = offset;
-            return None;
-        }
-        let delta = offset as i16 - entry.last_offset as i16;
-        if delta == 0 {
-            entry.touches -= 1; // a repeat is not a new observation
-            return None;
-        }
-        entry.last_offset = offset;
-        entry.deltas.push(delta);
-        if entry.deltas.len() > history {
-            entry.deltas.remove(0);
-        }
-        Some(delta)
+        self.touch(pc, page).history.record(offset, history)
     }
 
     fn evict_oldest_half(&mut self) {
@@ -249,7 +271,7 @@ mod tests {
         assert_eq!(t.record_offset(1, 100, 19), Some(2));
         assert_eq!(t.record_offset(1, 100, 22), Some(3));
         // Figure 1's example: history now holds {1, 2, 3}, last offset 22.
-        let e = t.peek(1, 100).unwrap();
+        let e = &t.peek(1, 100).unwrap().history;
         assert_eq!(e.deltas, vec![1, 2, 3]);
         assert_eq!(e.last_offset, 22);
     }
@@ -261,7 +283,7 @@ mod tests {
             let _ = t.record_offset(1, 100, *off);
             let _ = i;
         }
-        let e = t.peek(1, 100).unwrap();
+        let e = &t.peek(1, 100).unwrap().history;
         assert_eq!(e.deltas, vec![3, 4, 5]);
     }
 

@@ -26,7 +26,7 @@
 //!          dispatched vs pinned-scalar pair, the serve daemon's
 //!          sharded stream throughput (singleton and `access_batch`
 //!          frame cells), one end-to-end report cell.
-//!          Writes BENCH_pr10.json (override with --bench-out). With
+//!          Writes BENCH_pr14.json (override with --bench-out). With
 //!          --baseline <json> the run becomes a gate: exits nonzero when
 //!          any suite's median regressed more than --threshold percent
 //!          (default 40) versus the baseline document; snn.*, sim.*, and
@@ -85,7 +85,7 @@ fn parse_args() -> Result<Args, String> {
     let mut workloads: Vec<Workload> = Workload::ALL.to_vec();
     let mut baseline: Option<String> = None;
     let mut threshold = 40.0f64;
-    let mut bench_out = String::from("BENCH_pr10.json");
+    let mut bench_out = String::from("BENCH_pr14.json");
     let mut socket = String::from("/tmp/pathfinder-serve.sock");
     let mut shards = 4usize;
     let mut clients = 8usize;

@@ -15,7 +15,7 @@
 //! sharded stream-serving throughput at widening concurrency
 //! (`serve.throughput.{1,64,1024}streams`, sustained aggregate
 //! accesses/sec through the in-process engine), and one end-to-end
-//! report cell), then emits the results as `BENCH_pr8.json`: suite →
+//! report cell), then emits the results as `BENCH_pr14.json`: suite →
 //! median ns/op + throughput, the dispatched kernel tier, plus a
 //! telemetry snapshot of the end-to-end cell.
 //!
@@ -292,9 +292,9 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
 
     // Cross-query batched frozen inference (PR 10): 32 distinct delta
     // histories encoded as 32 pixel matrices, presented as lockstep lanes
-    // of one `present_frozen_batch` call against 32 singleton
-    // `present_frozen` calls on a same-seeded, identically trained twin.
-    // Lane results are bit-identical across the two sides (pinned by
+    // of one `present_frozen_batch` call against 32 `present_frozen` calls
+    // (one lane each, same kernel) on a same-seeded, identically trained
+    // twin. Lane results are bit-identical across the two sides (pinned by
     // snn/tests/frozen_batch_equivalence.rs), so the paired ratio isolates
     // the shared weight-row gathers and query-dimension vectorization.
     // ops = lanes, so per-op figures stay per query and comparable with
@@ -510,11 +510,11 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         let n_streams = want_streams.min(micro_trace.len()).max(1);
         suites.push(measure(name, 7, micro_trace.len() as u64, || {
             let engine = ServeEngine::with_template(StreamTemplate::default(), 4);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for client in 0..SERVE_CLIENTS {
                     let engine = &engine;
                     let trace = &micro_trace;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (i, a) in trace.iter().enumerate() {
                             let stream = i % n_streams;
                             if stream % SERVE_CLIENTS != client {
@@ -532,8 +532,7 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
                         }
                     });
                 }
-            })
-            .expect("serve bench client scope");
+            });
         }));
     }
 
@@ -658,7 +657,7 @@ fn steady_delta_trace(loads: usize) -> Trace {
 }
 
 impl BenchReport {
-    /// Renders the machine-readable JSON document (`BENCH_pr7.json`).
+    /// Renders the machine-readable JSON document (`BENCH_pr14.json` by default).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\"schema\":");

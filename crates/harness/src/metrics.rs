@@ -2,10 +2,9 @@
 
 use pathfinder_sim::SimReport;
 use pathfinder_traces::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of evaluating one prefetcher on one workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evaluation {
     /// Prefetcher label.
     pub prefetcher: String,

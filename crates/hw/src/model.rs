@@ -15,8 +15,6 @@
 //! CAMs use a power-law in bit count fitted through the two published CAM
 //! anchors.
 
-use serde::{Deserialize, Serialize};
-
 /// mm² per weight entry in the PE weight buffers (register files).
 const SNN_AREA_PER_WEIGHT: f64 = 1.0729e-5;
 /// mm² of PE logic (adders, comparators, control) per PE.
@@ -47,7 +45,7 @@ pub mod reference {
 }
 
 /// An area/power estimate with its component breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwEstimate {
     /// Total area (mm², 12 nm).
     pub area_mm2: f64,
@@ -72,7 +70,7 @@ impl HwEstimate {
 
 /// The SNN datapath: `n_pe` processing elements, each holding `D x H`
 /// weights plus LIF state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnnHardware {
     /// Processing elements (one per excitatory neuron).
     pub n_pe: usize,
@@ -115,7 +113,7 @@ impl SnnHardware {
 }
 
 /// A content-addressable table (Training Table, Inference Table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CamHardware {
     /// Number of rows.
     pub rows: usize,
@@ -156,7 +154,7 @@ impl CamHardware {
 }
 
 /// The complete PATHFINDER hardware: SNN + Training Table + Inference Table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathfinderHardware {
     /// The SNN datapath.
     pub snn: SnnHardware,

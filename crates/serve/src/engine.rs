@@ -81,11 +81,6 @@ type BatchPart = Result<Vec<(u32, Vec<u64>)>, String>;
 /// carries its own reply channel, so concurrent connection threads can wait
 /// on their own replies without coordinating.
 enum ShardMsg {
-    Access {
-        stream: u64,
-        access: AccessRecord,
-        reply: Sender<Response>,
-    },
     AccessBatch {
         items: Vec<BatchItem>,
         reply: Sender<BatchPart>,
@@ -395,14 +390,14 @@ impl Requester<'_> {
 
     fn dispatch(&mut self, req: Request) -> Response {
         match req {
-            Request::Access { stream, access } => {
-                let msg = ShardMsg::Access {
-                    stream,
-                    access,
-                    reply: self.reply_tx.clone(),
-                };
-                self.roundtrip(stream, msg)
-            }
+            // A singleton access is a one-record frame; only the reply
+            // shape differs.
+            Request::Access { stream, access } => match self.access_batch(vec![(stream, access)]) {
+                Response::PrefetchBatch(mut blocks) => {
+                    Response::Prefetches(blocks.pop().unwrap_or_default())
+                }
+                other => other,
+            },
             Request::AccessBatch { accesses } => self.access_batch(accesses),
             Request::Predict { stream } => {
                 let msg = ShardMsg::Predict {
@@ -593,20 +588,11 @@ impl Requester<'_> {
     }
 }
 
-/// A unit of access-shaped work inside one burst: either a singleton
-/// `access` or a shard's share of an `access_batch` frame. Collected into
-/// contiguous runs so [`flush_run`] can group records by stream.
-enum AccessWork {
-    Single {
-        stream: u64,
-        access: AccessRecord,
-        reply: Sender<Response>,
-    },
-    Batch {
-        items: Vec<BatchItem>,
-        reply: Sender<BatchPart>,
-    },
-}
+/// A unit of access-shaped work inside one burst: a shard's share of an
+/// `access_batch` frame (a singleton `access` is a one-record frame) and
+/// the channel its part goes back on. Collected into contiguous runs so
+/// [`flush_run`] can group records by stream.
+type AccessWork = (Vec<BatchItem>, Sender<BatchPart>);
 
 /// One borrow point for lazy stream creation, shared by access + train.
 fn session_mut<'a>(
@@ -642,7 +628,6 @@ fn flush_run(
     if run.is_empty() {
         return;
     }
-    let mut batch_frames = 0u64;
     let mut batch_records = 0u64;
     // stream -> position in `groups`.
     let mut index: HashMap<u64, usize> = HashMap::new();
@@ -656,30 +641,19 @@ fn flush_run(
             groups[at].1.push(rec);
             groups[at].2.push(origin);
         };
-        for (wi, work) in run.iter().enumerate() {
-            match work {
-                AccessWork::Single { stream, access, .. } => push(*stream, *access, (wi, 0)),
-                AccessWork::Batch { items, .. } => {
-                    batch_frames += 1;
-                    batch_records += items.len() as u64;
-                    for &(slot, stream, rec) in items {
-                        push(stream, rec, (wi, slot));
-                    }
-                }
+        for (wi, (items, _)) in run.iter().enumerate() {
+            batch_records += items.len() as u64;
+            for &(slot, stream, rec) in items {
+                push(stream, rec, (wi, slot));
             }
         }
     }
-    if batch_frames > 0 {
-        counter!("serve.batch.frames", batch_frames);
-        counter!("serve.batch.accesses", batch_records);
-    }
+    counter!("serve.batch.frames", run.len() as u64);
+    counter!("serve.batch.accesses", batch_records);
 
     let mut results: Vec<Vec<(u32, Vec<u64>)>> = run
         .iter()
-        .map(|w| match w {
-            AccessWork::Single { .. } => Vec::with_capacity(1),
-            AccessWork::Batch { items, .. } => Vec::with_capacity(items.len()),
-        })
+        .map(|(items, _)| Vec::with_capacity(items.len()))
         .collect();
     let mut failures: Vec<Option<String>> = vec![None; run.len()];
 
@@ -707,29 +681,12 @@ fn flush_run(
         }
     }
 
-    for ((work, result), failure) in run.drain(..).zip(results).zip(failures) {
-        match work {
-            AccessWork::Single { reply, .. } => {
-                let resp = match failure {
-                    Some(e) => Response::Error(e),
-                    None => Response::Prefetches(
-                        result
-                            .into_iter()
-                            .next()
-                            .map(|(_, b)| b)
-                            .unwrap_or_default(),
-                    ),
-                };
-                let _ = reply.send(resp);
-            }
-            AccessWork::Batch { reply, .. } => {
-                let part = match failure {
-                    Some(e) => Err(e),
-                    None => Ok(result),
-                };
-                let _ = reply.send(part);
-            }
-        }
+    for (((_, reply), result), failure) in run.drain(..).zip(results).zip(failures) {
+        let part = match failure {
+            Some(e) => Err(e),
+            None => Ok(result),
+        };
+        let _ = reply.send(part);
     }
 }
 
@@ -739,8 +696,7 @@ fn flush_run(
 fn refuse(msg: ShardMsg) {
     let draining = "daemon is draining";
     match msg {
-        ShardMsg::Access { reply, .. }
-        | ShardMsg::Predict { reply, .. }
+        ShardMsg::Predict { reply, .. }
         | ShardMsg::Train { reply, .. }
         | ShardMsg::StreamStatus { reply, .. }
         | ShardMsg::DrainStream { reply, .. } => {
@@ -793,18 +749,7 @@ fn shard_worker(shard_id: u32, mut template: StreamTemplate, rx: Receiver<ShardM
                 continue;
             }
             match msg {
-                ShardMsg::Access {
-                    stream,
-                    access,
-                    reply,
-                } => run.push(AccessWork::Single {
-                    stream,
-                    access,
-                    reply,
-                }),
-                ShardMsg::AccessBatch { items, reply } => {
-                    run.push(AccessWork::Batch { items, reply })
-                }
+                ShardMsg::AccessBatch { items, reply } => run.push((items, reply)),
                 other => {
                     // A non-access verb ends the contiguous access run:
                     // flush it first so message order is preserved.
@@ -902,7 +847,7 @@ fn shard_worker(shard_id: u32, mut template: StreamTemplate, rx: Receiver<ShardM
                                 .collect();
                             let _ = reply.send(drained);
                         }
-                        ShardMsg::Access { .. } | ShardMsg::AccessBatch { .. } => unreachable!(),
+                        ShardMsg::AccessBatch { .. } => unreachable!(),
                     }
                 }
             }

@@ -1,7 +1,6 @@
 //! Trace records: demand loads and the prefetch requests derived from them.
 
 use crate::addr::{Addr, Block};
-use serde::{Deserialize, Serialize};
 
 /// One demand memory access from a workload trace.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// retire-order index of the instruction in the full dynamic instruction
 /// stream, so gaps between consecutive loads encode how many non-memory
 /// instructions separate them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryAccess {
     /// Dynamic instruction index (retire order) of this load.
     pub instr_id: u64,
@@ -21,7 +20,6 @@ pub struct MemoryAccess {
     /// True when this load's address depends on the previous load's data
     /// (pointer chasing): the core cannot issue it until the previous load
     /// completes, which is what makes irregular workloads memory-bound.
-    #[serde(default)]
     pub depends_on_prev: bool,
 }
 
@@ -54,7 +52,7 @@ impl MemoryAccess {
 /// The two-phase competition flow attaches each prefetch to the `instr_id` of
 /// the demand access that triggered it; during timed replay the simulator
 /// issues the prefetch when that demand access executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrefetchRequest {
     /// Instruction id of the triggering demand access.
     pub trigger_instr_id: u64,
@@ -85,7 +83,7 @@ impl PrefetchRequest {
 /// assert_eq!(trace.len(), 4);
 /// assert_eq!(trace.total_instructions(), 31);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     accesses: Vec<MemoryAccess>,
 }

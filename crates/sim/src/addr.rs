@@ -5,8 +5,6 @@
 //! within-page block delta always fits in `-63..=63` (the paper's default
 //! delta range `D = 127`).
 
-use serde::{Deserialize, Serialize};
-
 /// Size of a cache block in bytes.
 pub const BLOCK_SIZE: u64 = 64;
 /// Size of a virtual-memory page in bytes.
@@ -30,21 +28,15 @@ pub const BLOCKS_PER_PAGE: u64 = PAGE_SIZE / BLOCK_SIZE;
 /// assert_eq!(a.page().0, 0x1_0040 / 4096);
 /// assert_eq!(a.page_offset_blocks(), 1);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
 
 /// A cache-block number (byte address divided by [`BLOCK_SIZE`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Block(pub u64);
 
 /// A page number (byte address divided by [`PAGE_SIZE`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Page(pub u64);
 
 impl Addr {

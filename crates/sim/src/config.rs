@@ -1,9 +1,7 @@
 //! Simulator configuration, defaulting to the paper's Table 3 parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets.
     pub sets: usize,
@@ -33,7 +31,7 @@ impl CacheConfig {
 ///
 /// The paper lists `tRP = tRCD = tCAS = 12.5` (nanoseconds). At the 4 GHz
 /// core clock ChampSim assumes, each is 50 core cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Channels (Table 3: 1).
     pub channels: usize,
@@ -90,7 +88,7 @@ impl DramConfig {
 }
 
 /// Core (front-end and window) parameters for the IPC model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Retire/dispatch width in instructions per cycle.
     pub width: u64,
@@ -122,7 +120,7 @@ impl Default for CoreConfig {
 /// assert_eq!(cfg.llc.capacity_bytes(), 2 * 1024 * 1024);
 /// assert_eq!(cfg.l1d.ways, 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// L1 instruction cache (32 KiB, 64 sets, 8 ways, 4 cycles).
     pub l1i: CacheConfig,

@@ -1,7 +1,5 @@
 //! End-of-simulation reporting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheStats;
 use crate::dram::DramStats;
 
@@ -13,7 +11,7 @@ use crate::dram::DramStats;
 /// * `accuracy = useful prefetches / issued prefetches`
 /// * `coverage = useful prefetches / baseline LLC load misses` (the baseline
 ///   miss count comes from a no-prefetch run of the same trace)
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimReport {
     /// Total dynamic instructions represented by the trace.
     pub instructions: u64,

@@ -1,10 +1,8 @@
 //! Network hyperparameters, defaulting to the paper's Table 4 values
 //! (BindsNet `DiehlAndCook2015` initialization).
 
-use serde::{Deserialize, Serialize};
-
 /// Leaky-integrate-and-fire parameters for one neuron population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifConfig {
     /// Resting potential the membrane decays toward (mV).
     pub v_rest: f32,
@@ -44,7 +42,7 @@ impl LifConfig {
 }
 
 /// STDP learning-rule parameters (BindsNet `PostPre` with normalization).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StdpConfig {
     /// Learning rate for pre-before-post potentiation (applied on the
     /// postsynaptic spike).
@@ -88,7 +86,7 @@ impl Default for StdpConfig {
 /// assert_eq!(cfg.n_exc, 50);
 /// assert_eq!(cfg.ticks, 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnnConfig {
     /// Input-layer size. Table 4: `D x H` with `D = 128`, `H = 3`.
     pub n_input: usize,

@@ -83,8 +83,9 @@ proptest! {
     }
 
     /// The pure inference paths agree bitwise too: frozen-weight queries
-    /// (derived RNG stream, theta snapshot/restore) and the §3.4 1-tick
-    /// readout, after a few rounds of training on each side.
+    /// (derived RNG stream, lane-private theta — the batch kernel's
+    /// one-lane call) and the §3.4 1-tick readout, after a few rounds of
+    /// training on each side.
     #[test]
     fn tiers_agree_bitwise_on_inference(
         seed in 0u64..1_000,

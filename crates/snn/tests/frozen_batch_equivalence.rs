@@ -1,19 +1,23 @@
-//! Exact-equality pin for cross-query batched frozen inference:
-//! `present_frozen_batch(queries)` must be **bitwise** equal, lane by lane,
-//! to N singleton `present_frozen` calls — not "close", identical. The
-//! batch kernel shares weight-row gathers across lanes and vectorizes over
-//! the query dimension, but each lane keeps a private RNG (seeded from
-//! `frozen_query_seed`), private theta/membrane state, and the singleton's
-//! per-element IEEE-754 op order, so the contract is equality of bits.
+//! Exact-equality pin for cross-query batched frozen inference, batch-N ≡
+//! batch-1: `present_frozen_batch(queries)` must be **bitwise** equal, lane
+//! by lane, to N one-lane `present_frozen` calls — not "close", identical.
+//! `present_frozen` is itself the one-lane case of the same kernel, so what
+//! this suite pins is lane independence: sharing weight-row gathers across
+//! lanes and sweeping all lanes' state in one full-width call must never
+//! let one lane's query leak into another's outcome. It also pins chunk
+//! boundaries (63, 64, 65 lanes) and purity (a batch leaves weights,
+//! thresholds and the derived query streams untouched). The kernel itself
+//! is pinned against `present_reference`, the event kernel and the scalar
+//! tier by `kernel_equivalence.rs` and `accel_equivalence.rs`.
 //!
 //! The suite runs against whatever tier the host dispatches natively and,
 //! in CI, again under `PATHFINDER_FORCE_SCALAR=1`; a tier-pinned case also
-//! cross-checks batch-vs-singleton on the scalar tier explicitly, so one
-//! native run covers both tiers on AVX2 hosts.
+//! cross-checks batch-N against batch-1 on the scalar tier explicitly, so
+//! one native run covers both tiers on AVX2 hosts.
 //!
 //! Per the ROADMAP seed-robustness note, every assertion compares the two
-//! paths against each other at the same seed — never against hard-coded
-//! outcomes.
+//! call shapes against each other at the same seed — never against
+//! hard-coded outcomes.
 
 use proptest::prelude::*;
 
@@ -79,10 +83,10 @@ fn check_batch_equals_singletons(net: &mut DiehlCookNetwork, patterns: &[Vec<f32
     let version_before = net.weight_version();
     let presentations_before = net.presentations();
 
-    // Singletons run once *before* and once *after* the batch: agreement
+    // One-lane runs go once *before* and once *after* the batch: agreement
     // across all three pins that the batch left weights, thetas, and the
     // derived query streams untouched (thetas aren't public, but any theta
-    // drift would flip the repeated singleton bitwise).
+    // drift would flip the repeated one-lane run bitwise).
     let before: Vec<RunOutcome> = queries.iter().map(|q| net.present_frozen(q)).collect();
     let batch = net.present_frozen_batch(&queries);
     assert_eq!(batch.len(), queries.len());
@@ -101,7 +105,7 @@ fn check_batch_equals_singletons(net: &mut DiehlCookNetwork, patterns: &[Vec<f32
 }
 
 proptest! {
-    /// Batched frozen inference is bitwise-equal to singleton runs across
+    /// Batched frozen inference is bitwise-equal to one-lane runs across
     /// random sizes, inhibition strengths, training histories, and lane
     /// counts — including the 1-lane batch, which must not degenerate.
     #[test]
@@ -140,7 +144,7 @@ fn zero_lane_batch_is_a_noop() {
 #[test]
 fn scalar_tier_batch_matches_scalar_singletons() {
     // Pin the scalar tier explicitly so a native AVX2 run still exercises
-    // the scalar batch path (CI additionally re-runs the whole suite under
+    // the scalar kernel (CI additionally re-runs the whole suite under
     // PATHFINDER_FORCE_SCALAR=1).
     let cfg = small_cfg(24, 8, 17.5);
     let mut net = DiehlCookNetwork::with_kernel_tier(cfg, 23, KernelTier::Scalar).unwrap();
@@ -150,6 +154,20 @@ fn scalar_tier_batch_matches_scalar_singletons() {
         net.present(p, true);
     }
     check_batch_equals_singletons(&mut net, &patterns);
+}
+
+#[test]
+fn chunk_boundaries_match_one_lane_runs() {
+    // The per-input lane mask is 64 bits wide: 63 lanes fill one partial
+    // chunk, 64 exactly one, and 65 spill a one-lane remainder chunk.
+    let cfg = small_cfg(24, 8, 17.5);
+    let mut net = DiehlCookNetwork::new(cfg, 29).unwrap();
+    for p in &lane_patterns(6, 24, 1) {
+        net.present(p, true);
+    }
+    for lanes in [63usize, 64, 65] {
+        check_batch_equals_singletons(&mut net, &lane_patterns(lanes, 24, lanes));
+    }
 }
 
 #[test]

@@ -203,7 +203,8 @@ proptest! {
         prop_assert_eq!(reference.weights(), &frozen[..]);
     }
 
-    /// The frozen-inference kernel (`present_frozen`) pins against the
+    /// The frozen-inference kernel (`present_frozen`, the one-lane call of
+    /// the batch kernel `present_frozen_batch`) pins against the
     /// reference kernel with learning disabled: train two networks in
     /// lockstep through the *same* kernel (bit-identical state), then align
     /// the reference's shared RNG with the frozen kernel's derived
@@ -274,7 +275,8 @@ proptest! {
 
     /// `present_frozen` also matches the production event-driven kernel run
     /// with `learn == false` on the same derived stream — the frozen path
-    /// differs only in where the RNG comes from and in restoring theta.
+    /// differs only in where the RNG comes from, in running theta on a
+    /// lane-private copy, and in skipping the write-only inhibitory layer.
     #[test]
     fn frozen_kernel_agrees_with_event_kernel(
         seed in 0u64..1_000,

@@ -1,12 +1,11 @@
 //! The Table 5 workload catalog: the eleven traces the paper evaluates.
 
 use pathfinder_sim::Trace;
-use serde::{Deserialize, Serialize};
 
 use crate::generators::{cloud, gap, spec};
 
 /// Benchmark suite a workload belongs to (Table 5, column 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// GAP graph-analytics benchmarks.
     Gap,
@@ -41,7 +40,7 @@ impl std::fmt::Display for Suite {
 /// assert_eq!(trace.len(), 10_000);
 /// assert_eq!(Workload::ALL.len(), 11);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// GAP connected components, trace `cc-5`.
     Cc5,
